@@ -1,7 +1,9 @@
 """Render-engine speed: reference loops vs. the vectorized backend.
 
-Times both rasterizer dataflows (PFS and IRSS) under each registered
-backend on the catalog's evaluation scenes and writes
+Times both rasterizer dataflows (PFS and IRSS, the latter on both exact
+datapaths: float64 and the fp16 Row-PE datapath that serving runs)
+under each registered backend on the catalog's evaluation scenes and
+writes
 ``BENCH_render_speed.json`` at the repo root (instances/sec,
 pixels/sec, per-dataflow and combined speedups), so the perf
 trajectory is tracked across PRs.
@@ -77,7 +79,11 @@ def _bench_scene(name: str) -> tuple[dict, object, object]:
     irss_images = {
         b: render_irss(projected, lists, backend=b).image for b in BACKENDS
     }
-    for images in (pfs_images, irss_images):
+    irss_fp16_images = {
+        b: render_irss(projected, lists, backend=b, fp16=True).image
+        for b in BACKENDS
+    }
+    for images in (pfs_images, irss_images, irss_fp16_images):
         ref = images[BACKENDS[0]]
         for backend in BACKENDS[1:]:
             assert (images[backend] == ref).all(), (
@@ -103,16 +109,25 @@ def _bench_scene(name: str) -> tuple[dict, object, object]:
             for b in BACKENDS
         }
     )
+    irss_fp16_best = interleaved_best(
+        {
+            b: (lambda b=b: render_irss(projected, lists, backend=b, fp16=True))
+            for b in BACKENDS
+        }
+    )
     for backend in BACKENDS:
         pfs_s = pfs_best[backend]
         irss_s = irss_best[backend]
+        irss_fp16_s = irss_fp16_best[backend]
         combined = pfs_s + irss_s
         row["backends"][backend] = {
             "pfs_ms": pfs_s * 1e3,
             "irss_ms": irss_s * 1e3,
+            "irss_fp16_ms": irss_fp16_s * 1e3,
             "combined_ms": combined * 1e3,
             "pfs_instances_per_sec": instances / pfs_s,
             "irss_instances_per_sec": instances / irss_s,
+            "irss_fp16_instances_per_sec": instances / irss_fp16_s,
             "pfs_pixels_per_sec": pixels / pfs_s,
             "irss_pixels_per_sec": pixels / irss_s,
         }
@@ -121,6 +136,7 @@ def _bench_scene(name: str) -> tuple[dict, object, object]:
     row["speedup"] = {
         "pfs": ref["pfs_ms"] / vec["pfs_ms"],
         "irss": ref["irss_ms"] / vec["irss_ms"],
+        "irss_fp16": ref["irss_fp16_ms"] / vec["irss_fp16_ms"],
         "combined": ref["combined_ms"] / vec["combined_ms"],
     }
     return row, projected, lists
@@ -158,12 +174,16 @@ def test_render_speed(benchmark):
     )
 
     print(f"\n=== render speed ({len(rows)} scenes) -> {OUTPUT.name} ===")
-    print(f"{'scene':<14}{'instances':>10}{'PFS x':>8}{'IRSS x':>8}{'combined x':>12}")
+    print(
+        f"{'scene':<14}{'instances':>10}{'PFS x':>8}{'IRSS x':>8}"
+        f"{'fp16 x':>8}{'combined x':>12}"
+    )
     for r in rows:
         s = r["speedup"]
         print(
             f"{r['scene']:<14}{r['instances']:>10}"
-            f"{s['pfs']:>8.1f}{s['irss']:>8.1f}{s['combined']:>12.1f}"
+            f"{s['pfs']:>8.1f}{s['irss']:>8.1f}{s['irss_fp16']:>8.1f}"
+            f"{s['combined']:>12.1f}"
         )
 
     if default_row is not None:

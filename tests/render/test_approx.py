@@ -213,21 +213,24 @@ class TestQuality:
         catalog scene stays within the advertised PSNR/SSIM band of the
         exact render (the exact goldens continue to guard
         reference/vectorized byte-for-byte).  The floors match the
-        acceptance bar asserted in ``benchmarks/bench_approx_quality.py``."""
+        acceptance bar asserted in ``benchmarks/bench_approx_quality.py``,
+        for both dataflows (approx IRSS runs float32 depth-slab bricks,
+        not the exact segment-sparse engine)."""
         from repro.scenes.catalog import build_scene
 
         bundle = build_scene("bicycle")
         cloud, _ = bundle.frame_cloud(0)
         projected = project(cloud, bundle.camera)
         lists = build_render_lists(projected)
-        exact = render_reference(projected, lists, backend="vectorized")
-        with use_approx_policy(DEFAULT_TOLERANCE):
-            appr = render_reference(projected, lists, backend="approx")
-        assert psnr(appr.image, exact.image) >= 35.0
-        assert ssim(appr.image, exact.image) >= 0.95
-        # It must actually approximate: strictly fewer instances reach
-        # the rasterizer (culling) than in the exact render.
-        assert appr.stats.instances < exact.stats.instances
+        for render in (render_reference, render_irss):
+            exact = render(projected, lists, backend="vectorized")
+            with use_approx_policy(DEFAULT_TOLERANCE):
+                appr = render(projected, lists, backend="approx")
+            assert psnr(appr.image, exact.image) >= 35.0
+            assert ssim(appr.image, exact.image) >= 0.95
+            # It must actually approximate: strictly fewer instances
+            # reach the rasterizer (culling) than in the exact render.
+            assert appr.stats.instances < exact.stats.instances
 
     def test_quality_degrades_monotonically_enough(self):
         """Wider tolerance never *improves* fidelity by more than noise

@@ -10,12 +10,15 @@ depth-chunking code paths.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.render.vectorized as vectorized
+from repro.config import DEFAULT_SETTINGS
 from repro.core.irss import render_irss, render_irss_loop
 from repro.gaussians import Camera, GaussianCloud, build_render_lists, project
 from repro.gaussians.rasterizer import render_reference, render_reference_loop
@@ -27,6 +30,7 @@ from repro.render import (
     set_default_backend,
     use_backend,
 )
+from repro.scenes.catalog import build_scene
 
 WORKLOAD_FIELDS = (
     "row_fragments",
@@ -132,18 +136,69 @@ class TestEdgeCases:
             assert_pfs_exact(projected)
             assert_irss_exact(projected)
 
-    def test_depth_chunking_continuation_path(self, monkeypatch):
-        """A tiny fragment budget forces depth-chunked processing with
-        transmittance carry and the add.at continuation accumulator."""
-        monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", 1 << 10)
-        projected = _scene(23, 150, width=40, height=24)
+    @pytest.mark.parametrize("budget", [None, 1 << 8])
+    def test_pixels_terminate_mid_list(self, opaque_stack, monkeypatch, budget):
+        """Pixels under an opaque stack cross eps within a few instances
+        while their tile keeps blending later ones, and a walled tile
+        breaks whole; with a tiny budget the tiles also render as depth
+        slices, skipping the slices after the wall terminates."""
+        if budget is not None:
+            monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", budget)
+        projected = opaque_stack.projected
         lists = build_render_lists(projected)
-        depths = lists.instances_per_tile().max()
+        ref = render_irss_loop(projected, lists)
+        row, col = opaque_stack.pixel
+        assert ref.transmittance[row, col] <= DEFAULT_SETTINGS.transmittance_eps
+        # The pixel stopped within the stack; its tile went on.
+        assert ref.n_contrib[row, col] <= opaque_stack.stack_depth
+        assert ref.workload.instance_setup[0] == len(lists.per_tile[0])
+        assert ref.n_contrib[:16, :16].max() > opaque_stack.stack_depth
+        walled = opaque_stack.walled_tile
+        assert ref.workload.instance_setup[walled] < len(lists.per_tile[walled])
+        assert_irss_exact(projected, lists)
+        assert_irss_exact(projected, lists, fp16=True)
+
+    def test_depth_chunking_continuation_path(self, monkeypatch):
+        """A tiny fragment budget splits IRSS into several tile groups,
+        one tile's pairs alone exceeding it (its depth slices carry the
+        pixel state), and forces PFS depth chunks with transmittance
+        carry and the add.at continuation accumulator."""
+        budget = 1 << 12
+        monkeypatch.setattr(vectorized, "CHUNK_FRAGMENT_BUDGET", budget)
+        projected = _scene(23, 80, width=56, height=40)
+        lists = build_render_lists(projected)
+        counts = lists.instances_per_tile()
         # The budget must actually split this scene's deepest tile.
-        assert depths * 16 * 16 > (1 << 10)
+        assert counts.max() * 16 * 16 > budget
+        groups = list(vectorized._irss_groups(lists, budget))
+        whole = [
+            g for g in groups
+            if all(d0 == 0 and d1 == counts[t] for t, d0, d1 in g)
+        ]
+        assert len(whole) >= 2
+        assert any(len(g) > 1 for g in whole)
+        assert any(d1 - d0 < counts[t] for g in groups for t, d0, d1 in g)
         assert_pfs_exact(projected, lists)
         assert_irss_exact(projected, lists)
         assert_irss_exact(projected, lists, fp16=True)
+
+    def test_irss_fp16_memory_bound(self):
+        """One fp16 IRSS render of bicycle at detail 1.0 stays within a
+        fixed transient-memory bound: tile groups keep the working set
+        near one fragment-budget chunk instead of growing with the
+        frame."""
+        bundle = build_scene("bicycle", 1.0)
+        cloud, _ = bundle.frame_cloud(0)
+        projected = project(cloud, bundle.camera)
+        lists = build_render_lists(projected)
+        tracemalloc.start()
+        try:
+            render_irss_vectorized(projected, lists, fp16=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Bytes: headroom over the ~5.3 MB this render measures.
+        assert peak <= 8_000_000
 
 
 class TestBinningParity:

@@ -144,10 +144,10 @@ class TestExactInvariance:
         assert_pfs_invariant(projected, lists, 3, "reference")
         assert_irss_invariant(projected, lists, 3, "reference")
 
-    def test_irss_fp16_bit_identical(self):
-        projected = _scene(21, 80)
-        lists = build_render_lists(projected)
-        assert_irss_invariant(projected, lists, 4, "vectorized", fp16=True)
+    def test_irss_fp16_bit_identical(self, opaque_stack):
+        for projected in (_scene(21, 80), opaque_stack.projected):
+            lists = build_render_lists(projected)
+            assert_irss_invariant(projected, lists, 4, "vectorized", fp16=True)
 
     def test_more_shards_than_busy_tiles(self):
         projected = _scene(2, 3, width=33, height=17)
